@@ -23,7 +23,10 @@ how every speedup moved PR over PR.  ``--check`` additionally fails when
 a headline speedup regressed below ``REPRO_BENCH_HISTORY_MIN_RATIO``
 (default 0.5) times its previously recorded value — a halved speedup
 never slips through unnoticed, while ordinary machine-to-machine timing
-jitter does not trip the gate.
+jitter does not trip the gate.  History entries whose name ends in
+``_s`` are absolute seconds (whole-campaign wall times from
+``campaignbench/``, recorded by hand before and after a speed claim);
+for those lower is better, and the gate compares their inverses.
 """
 
 from __future__ import annotations
@@ -104,7 +107,13 @@ def regressions(summary: dict, min_ratio: float) -> list[str]:
         if len(trail) < 2:
             continue
         prev, cur = float(trail[-2]), float(trail[-1])
-        if cur < prev * min_ratio:
+        if name.endswith("_s"):
+            if prev < cur * min_ratio:
+                found.append(
+                    f"{name} regressed: {cur:.3f}s is above "
+                    f"previous {prev:.3f}s / {min_ratio:.2f}"
+                )
+        elif cur < prev * min_ratio:
             found.append(
                 f"{name} regressed: {cur:.2f}x is below "
                 f"{min_ratio:.2f} * previous {prev:.2f}x"

@@ -380,12 +380,12 @@ class _FunctionCompiler:
 
             return call_fn
 
-        runtime = engine.runtime
-
         def call_external(frame):
             args = [c(frame) for c in arg_closures]
             charge(compute, call_cost)
-            if runtime.handles(callee):
+            # The runtime is per run (installed by CompiledEngine.reset),
+            # so it is read at call time, never captured here.
+            if engine.runtime.handles(callee):
                 return engine._call_library(callee, args)
             raise UndefinedFunctionError(callee)
 
@@ -692,7 +692,11 @@ class CompiledEngine:
     which overrides only :meth:`_compile_functions`.
 
     The program is lowered once at construction; every subsequent
-    :meth:`run` executes pre-dispatched closures.
+    :meth:`run` executes pre-dispatched closures.  The lowered closures
+    are the shared, run-independent half of the engine; the metrics
+    collector, step counter, call depth and library runtime are the
+    per-run half, which :meth:`reset` rebinds so one engine (and its
+    listener) can serve every run of a measure stage.
     """
 
     def __init__(
@@ -789,8 +793,26 @@ class CompiledEngine:
 
     @property
     def steps(self) -> int:
-        """Statements/iterations executed so far (across runs)."""
+        """Statements/iterations executed since construction or the last
+        :meth:`reset`."""
         return self._steps_cell[0]
+
+    def reset(self, runtime: LibraryRuntime | None = None) -> None:
+        """Prepare the engine for a new run under *runtime*.
+
+        Afterwards a :meth:`run` is bit-identical to one on a freshly
+        constructed engine with the same program, config and listener:
+        the metrics collector is emptied in place (the pre-bound cost
+        sink holds its containers), the step counter and call depth go
+        to zero, and *runtime* becomes the library runtime external
+        calls resolve through.  The listener is the caller's to reset.
+        A previous run's :class:`RunResult` shares the collector, so read
+        it before resetting (or :meth:`MetricsCollector.copy` it).
+        """
+        self.metrics.reset()
+        self._steps_cell[0] = 0
+        self._depth = 0
+        self.runtime = runtime or NoLibraryRuntime()
 
     def run(
         self,

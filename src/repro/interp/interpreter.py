@@ -107,6 +107,16 @@ class Interpreter:
     # ------------------------------------------------------------------
     # entry point
 
+    def reset(self, runtime: LibraryRuntime | None = None) -> None:
+        """Prepare the engine for a new run under *runtime* (see
+        :meth:`CompiledEngine.reset <repro.interp.compile.CompiledEngine.reset>`
+        for the contract)."""
+        self.metrics.reset()
+        self._steps = 0
+        self._depth = 0
+        self._fn_stack.clear()
+        self.runtime = runtime or NoLibraryRuntime()
+
     def run(
         self,
         args: Mapping[str, Value] | Sequence[Value] = (),

@@ -54,6 +54,31 @@ class MetricsCollector:
         self.totals: dict[CostKind, float] = {kind: 0.0 for kind in CostKind}
         self._stack: list[str] = []
 
+    def reset(self) -> None:
+        """Forget everything collected so far, in place.
+
+        :meth:`cost_sink` closures hold these very containers, so they
+        are emptied rather than replaced; afterwards the collector is
+        indistinguishable from a fresh one (same keys, same first-touch
+        order on the next run).
+        """
+        self.functions.clear()
+        self.loop_iterations.clear()
+        for kind in self.totals:
+            self.totals[kind] = 0.0
+        self._stack.clear()
+
+    def copy(self) -> "MetricsCollector":
+        """An independent collector holding this one's current figures."""
+        out = MetricsCollector()
+        for name, fm in self.functions.items():
+            out.functions[name] = FunctionMetrics(
+                fm.calls, fm.compute, fm.memory, fm.comm
+            )
+        out.loop_iterations.update(self.loop_iterations)
+        out.totals.update(self.totals)
+        return out
+
     # -- listener interface ------------------------------------------------
 
     def on_enter(self, function: str) -> None:

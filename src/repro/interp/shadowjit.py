@@ -398,7 +398,6 @@ class _ShadowFunctionCompiler:
 
             return call_fn
 
-        runtime = engine.runtime
         library = engine._call_library_shadow
 
         def call_external(frame, shadow):
@@ -409,7 +408,7 @@ class _ShadowFunctionCompiler:
                 values.append(v)
                 shadows.append(clean if s == clean else data(s))
             charge(compute, call_cost)
-            if runtime.handles(callee):
+            if engine.runtime.handles(callee):
                 return library(callee, values, shadows)
             raise UndefinedFunctionError(callee)
 
@@ -799,6 +798,12 @@ class CompiledShadowEngine(CompiledEngine):
         super().__init__(
             program, runtime=runtime, config=config, listener=listener
         )
+
+    def reset(self, runtime: LibraryRuntime | None = None) -> None:
+        """:meth:`CompiledEngine.reset`, plus the call-path stack; the
+        analysis domain's own state is the domain's to manage."""
+        super().reset(runtime)
+        self._fn_stack.clear()
 
     def _compile_functions(self) -> None:
         program = self.program

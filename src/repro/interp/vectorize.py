@@ -1013,6 +1013,13 @@ class VectorizedEngine:
 
     # -- public API ----------------------------------------------------
 
+    def reset(self, runtime: LibraryRuntime | None = None) -> None:
+        """Prepare the engine for a new :meth:`run` under *runtime* (see
+        :meth:`CompiledEngine.reset <repro.interp.compile.CompiledEngine.reset>`);
+        every other piece of run state is rebuilt by each batch."""
+        self.runtime = runtime or NoLibraryRuntime()
+        self.metrics = MetricsCollector()
+
     def run(self, args=(), entry: str | None = None) -> RunResult:
         """Scalar-compatible single run (a batch of width one)."""
         result = self.run_batch(
@@ -1155,21 +1162,30 @@ class VectorizedEngine:
             if lane_runtimes
             else [self.runtime] * len(args_list)
         )
+        # One lowering per distinct listener (the engine pre-binds its
+        # listener's hooks), reset per lane; lanes without a listener
+        # share one engine.  Each result gets its own copy of the
+        # metrics, since the next reset empties the engine's collector.
+        engines: dict[int, CompiledEngine] = {}
         out = []
         for lane, args in enumerate(args_list):
             listener = lane_listeners[lane] if lane_listeners else None
-            engine = CompiledEngine(
-                self.program,
-                runtime=runtimes[lane],
-                config=self.config,
-                listener=listener,
-            )
+            engine = engines.get(id(listener))
+            if engine is None:
+                engine = CompiledEngine(
+                    self.program, config=self.config, listener=listener
+                )
+                engines[id(listener)] = engine
+            engine.reset(runtimes[lane])
             try:
-                out.append(engine.run(args, entry=entry))
+                result = engine.run(args, entry=entry)
             except Exception as exc:
                 if not collect_errors:
                     raise
                 out.append(exc)
+                continue
+            result.metrics = result.metrics.copy()
+            out.append(result)
         return out
 
     # -- per-lane value plumbing ---------------------------------------

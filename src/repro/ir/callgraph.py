@@ -11,31 +11,78 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import IRError
 from .program import Program
+
+
+def _strongly_connected(succs: dict[str, tuple[str, ...]]) -> list[list[str]]:
+    """Tarjan's strongly connected components, iteratively.
+
+    Components come out callee-first (every component after all the
+    components it reaches), and the order is deterministic: roots in
+    *succs* order, successors in tuple order.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+    for root in succs:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succs[root]))]
+        while work:
+            node, pending = work[-1]
+            for nxt in pending:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succs[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 @dataclass
 class CallGraph:
     """Directed call graph over the functions of one program.
 
-    Nodes are program-defined function names.  Calls to external (library)
-    routines are recorded separately in ``external_calls`` since they are
-    resolved through the library database, not the program.
+    Nodes are program-defined function names, in program order; each
+    maps to its program-defined callees, sorted by name.  Calls to
+    external (library) routines are recorded separately in
+    ``external_calls`` since they are resolved through the library
+    database, not the program.
     """
 
-    graph: nx.DiGraph
+    succs: dict[str, tuple[str, ...]]
     external_calls: dict[str, frozenset[str]]
 
     def callees(self, name: str) -> frozenset[str]:
         """Program-defined functions called by *name*."""
-        return frozenset(self.graph.successors(name))
+        return frozenset(self.succs[name])
 
     def callers(self, name: str) -> frozenset[str]:
         """Program-defined functions that call *name*."""
-        return frozenset(self.graph.predecessors(name))
+        return frozenset(fn for fn, out in self.succs.items() if name in out)
 
     def externals_of(self, name: str) -> frozenset[str]:
         """Library routines called by *name* (e.g. ``MPI_Allreduce``)."""
@@ -44,13 +91,10 @@ class CallGraph:
     def recursive_functions(self) -> frozenset[str]:
         """Functions participating in any call cycle (incl. self-recursion)."""
         out: set[str] = set()
-        for scc in nx.strongly_connected_components(self.graph):
-            if len(scc) > 1:
-                out |= scc
-            else:
-                (only,) = scc
-                if self.graph.has_edge(only, only):
-                    out.add(only)
+        for component in _strongly_connected(self.succs):
+            first = component[0]
+            if len(component) > 1 or first in self.succs[first]:
+                out.update(component)
         return frozenset(out)
 
     @property
@@ -60,16 +104,22 @@ class CallGraph:
 
     def topological_order(self) -> list[str]:
         """Reverse-topological (callee-first) order; raises on recursion."""
-        try:
-            return list(reversed(list(nx.topological_sort(self.graph))))
-        except nx.NetworkXUnfeasible as exc:
-            raise IRError("call graph is cyclic (recursive program)") from exc
+        if self.has_recursion:
+            raise IRError("call graph is cyclic (recursive program)")
+        return [c[0] for c in _strongly_connected(self.succs)]
 
     def reachable_from(self, entry: str) -> frozenset[str]:
         """Functions reachable from *entry* (entry included)."""
-        if entry not in self.graph:
+        if entry not in self.succs:
             return frozenset()
-        return frozenset(nx.descendants(self.graph, entry)) | {entry}
+        seen = {entry}
+        todo = [entry]
+        while todo:
+            for callee in self.succs[todo.pop()]:
+                if callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        return frozenset(seen)
 
     def transitive_externals(self, entry: str) -> frozenset[str]:
         """Library routines reachable (transitively) from *entry*."""
@@ -81,14 +131,11 @@ class CallGraph:
 
 def build_callgraph(program: Program) -> CallGraph:
     """Build the call graph of *program*."""
-    graph = nx.DiGraph()
+    succs: dict[str, tuple[str, ...]] = {}
     external: dict[str, frozenset[str]] = {}
     defined = program.defined_names()
     for fn in program:
-        graph.add_node(fn.name)
-    for fn in program:
         callees = fn.callees()
         external[fn.name] = frozenset(callees - defined)
-        for callee in callees & defined:
-            graph.add_edge(fn.name, callee)
-    return CallGraph(graph, external)
+        succs[fn.name] = tuple(sorted(callees & defined))
+    return CallGraph(succs, external)

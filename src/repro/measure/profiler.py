@@ -13,6 +13,7 @@ when querying times: ``time = compute + memory * factor + comm + overhead``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -24,6 +25,7 @@ from ..interp.events import CostKind, NullListener
 from ..interp.runtime import LibraryRuntime
 from ..interp.values import Value
 from ..ir.program import Program
+from ..registry import ENGINE_REGISTRY
 from .instrumentation import InstrumentationPlan
 
 CallPath = tuple[str, ...]
@@ -116,10 +118,18 @@ class ProfileResult:
 
 
 class ScorePListener(NullListener):
-    """The profiling listener (one per run)."""
+    """The profiling listener (one run at a time; :meth:`reset` between)."""
 
     def __init__(self, plan: InstrumentationPlan) -> None:
         self.plan = plan
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a new run's profile.
+
+        ``nodes`` is replaced, not cleared: the previous run's
+        :class:`ProfileResult` keeps the dict it was handed.
+        """
         self.nodes: dict[CallPath, ProfileNode] = {}
         # Full call stack of (name, visible) pairs.
         self._stack: list[tuple[str, bool]] = []
@@ -401,6 +411,39 @@ class BatchedScorePListener:
         }
 
 
+#: Per-thread slot holding the last ``profile_run`` engine: a tuple
+#: ``(program, factory, exec_config, plan, engine, listener)``.  One
+#: entry per thread, so reuse keeps no more alive than one engine.
+_BOUND = threading.local()
+
+
+def _bound_engine(
+    program: Program,
+    engine: str,
+    exec_config: ExecConfig,
+    plan: InstrumentationPlan,
+) -> tuple:
+    """Check out this thread's engine for the run, building it on a miss.
+
+    The key holds the registry entry's factory rather than the engine
+    name, so re-registering a name never serves a stale engine.
+    """
+    factory = ENGINE_REGISTRY.entry(engine).factory
+    slot = getattr(_BOUND, "slot", None)
+    _BOUND.slot = None
+    if (
+        slot is not None
+        and slot[0] is program
+        and slot[1] is factory
+        and slot[2] == exec_config
+        and slot[3] == plan
+    ):
+        return slot
+    listener = ScorePListener(plan)
+    interp = make_engine(program, engine, config=exec_config, listener=listener)
+    return (program, factory, exec_config, plan, interp, listener)
+
+
 def profile_run(
     program: Program,
     args: Mapping[str, Value],
@@ -416,22 +459,28 @@ def profile_run(
     *engine* selects the execution engine (``"compiled"`` by default —
     the measurement hot path; ``"tree"`` for the tree-walker).  Both
     yield bit-identical profiles.
+
+    The engine and its listener outlive the call: each thread keeps the
+    pair of its last run and, when the next run has the same program
+    (by identity), engine, :class:`ExecConfig` and plan, resets it
+    instead of building a new one — so a measure stage lowers its
+    program once, not once per configuration.  The pair is checked out
+    of the thread's slot while it runs, so a nested call builds its own.
     """
-    listener = ScorePListener(plan)
-    interp = make_engine(
-        program,
-        engine,
-        runtime=runtime,
-        config=exec_config,
-        listener=listener,
-    )
-    result = interp.run(args, entry=entry)
-    return ProfileResult(
-        plan=plan,
-        nodes=listener.nodes,
-        contention_factor=contention_factor,
-        loop_iterations=dict(result.metrics.loop_iterations),
-    )
+    slot = _bound_engine(program, engine, exec_config, plan)
+    interp, listener = slot[-2:]
+    try:
+        interp.reset(runtime)
+        listener.reset()
+        result = interp.run(args, entry=entry)
+        return ProfileResult(
+            plan=plan,
+            nodes=listener.nodes,
+            contention_factor=contention_factor,
+            loop_iterations=dict(result.metrics.loop_iterations),
+        )
+    finally:
+        _BOUND.slot = slot
 
 
 def profile_run_batch(

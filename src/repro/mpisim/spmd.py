@@ -111,15 +111,13 @@ class SPMDSimulator:
         """
         result = SPMDResult()
         ranks = rank_subset if rank_subset is not None else range(self.ranks)
+        # One engine for every rank: the program is lowered once and
+        # each rank's run rebinds only its MPI runtime.
+        interp = make_engine(self.program, self.engine, config=self.exec_config)
         for rank in ranks:
             if not 0 <= rank < self.ranks:
                 raise ValueError(f"rank {rank} outside communicator")
-            interp = make_engine(
-                self.program,
-                self.engine,
-                runtime=self._runtime_for(rank),
-                config=self.exec_config,
-            )
+            interp.reset(self._runtime_for(rank))
             run = interp.run(args, entry=entry)
             result.per_rank_time[rank] = run.time
             result.per_rank_value[rank] = run.value

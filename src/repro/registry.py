@@ -150,7 +150,10 @@ class Registry:
 
 #: Modelable applications (LULESH, MILC, synthetic, user workloads).
 WORKLOAD_REGISTRY = Registry("app")
-#: Execution engines consumed by :func:`repro.interp.make_engine`.
+#: Execution engines consumed by :func:`repro.interp.make_engine`.  An
+#: engine's ``run(args, entry=)`` executes one run and its
+#: ``reset(runtime)`` prepares it for the next: the measurement layer
+#: reuses one engine for every run of a stage.
 ENGINE_REGISTRY = Registry("engine")
 #: Measurement-noise models.
 NOISE_REGISTRY = Registry("noise model")

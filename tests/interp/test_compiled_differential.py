@@ -17,6 +17,9 @@ engine.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,8 +210,24 @@ def _gen_block(draw, f, names: list[str], depth: int, in_loop: bool) -> None:
 
 
 @st.composite
-def programs(draw):
+def programs(draw, traps: bool = False):
+    """A random ``main(a, b)`` over fixed ``leaf``/``helper`` callees.
+
+    With *traps*, two more entry points raise mid-run: ``spin(n)``
+    exceeds any test's step budget for large *n* and ``broken(x)`` reads an
+    undefined variable, both after some cost and call events.
+    """
     pb = ProgramBuilder()
+    if traps:
+        with pb.function("spin", ["n"]) as f:
+            f.assign("t", 0)
+            with f.while_(lt(var("t"), var("n"))):
+                f.assign("t", add(var("t"), 1))
+                f.work(1.0)
+        with pb.function("broken", ["x"]) as f:
+            f.work(2.0)
+            f.assign("y", call("leaf", var("x")))
+            f.assign("z", add(var("y"), var("never_set")))
     with pb.function("leaf", ["x"], kind="accessor") as f:
         f.assign("v", mul(var("x"), 2.0))
         f.work(3.0)
@@ -478,3 +497,217 @@ class TestAppDifferential:
 
         workload = make_scaling_workload()
         self._assert_profiles_match(workload, {"p": 6.0, "s": 9.0})
+
+
+# ----------------------------------------------------------------------
+# engine reuse: one lowering, reset per run
+
+
+def _scaled_runtime(scale: float | None) -> TableRuntime | None:
+    """``None`` (no library: LIB_scale calls fail) or a LIB_scale whose
+    result and communication cost depend on *scale*, so a runtime left
+    over from a previous run shows in values and metrics."""
+    if scale is None:
+        return None
+    rt = TableRuntime()
+    rt.register(
+        "LIB_scale",
+        lambda x: LibraryCall(value=x * scale, costs={CostKind.COMM: scale}),
+    )
+    return rt
+
+
+def _canon_run(engine, run, events) -> tuple:
+    """Canonicalize one run on *engine* (see :func:`_canon_lane`), plus
+    the engine's step counter afterwards."""
+    try:
+        outcome = run()
+    except Exception as exc:  # noqa: BLE001 - error parity is the point
+        outcome = exc
+    return _canon_lane(outcome, events), getattr(engine, "steps", None)
+
+
+#: Entry points and arguments of the reuse property test.
+_OK_RUNS = st.one_of(
+    st.tuples(
+        st.just("main"),
+        st.fixed_dictionaries(
+            {"a": st.integers(0, 6), "b": st.integers(-2, 6)}
+        ),
+    ),
+    st.tuples(st.just("spin"), st.just([3])),
+    st.tuples(
+        st.just("helper"), st.lists(st.integers(0, 5), min_size=2, max_size=2)
+    ),
+)
+#: Runs that raise: step limit, undefined variable, entry arity.
+_RAISING_RUNS = st.sampled_from(
+    [("spin", [10**6]), ("broken", [1]), ("main", [1])]
+)
+
+
+class TestEngineReuse:
+    """A reset engine is indistinguishable from a fresh one — the license
+    for the measurement layer to lower a program once per stage."""
+
+    @given(
+        program=programs(traps=True),
+        runs=st.lists(
+            st.tuples(_OK_RUNS, st.sampled_from([None, 2.0, 3.0])),
+            min_size=1,
+            max_size=5,
+        ),
+        raising=st.tuples(_RAISING_RUNS, st.sampled_from([None, 2.0])),
+        position=st.integers(0, 5),
+        fast_loops=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reset_engine_matches_fresh(
+        self, program, runs, raising, position, fast_loops
+    ):
+        config = ExecConfig(fast_loops=fast_loops, step_limit=2_000)
+        runs = list(runs)
+        runs.insert(min(position, len(runs)), raising)
+        for name in ("compiled", "tree", "vectorized"):
+            listener = RecordingListener()
+            reused = make_engine(
+                program, name, config=config, listener=listener
+            )
+            for (entry, args), scale in runs:
+                fresh_listener = RecordingListener()
+                fresh = make_engine(
+                    program,
+                    name,
+                    runtime=_scaled_runtime(scale),
+                    config=config,
+                    listener=fresh_listener,
+                )
+                expected = _canon_run(
+                    fresh,
+                    lambda: fresh.run(args, entry=entry),
+                    fresh_listener.events,
+                )
+                reused.reset(_scaled_runtime(scale))
+                listener.events = []
+                got = _canon_run(
+                    reused,
+                    lambda: reused.run(args, entry=entry),
+                    listener.events,
+                )
+                assert got == expected, (
+                    f"{name}: reused engine diverged on {entry}{args!r}\n"
+                    f"fresh:  {expected!r}\nreused: {got!r}"
+                )
+
+    def test_measure_stage_lowers_once(self, lulesh_workload, monkeypatch):
+        """A 9-configuration LULESH measure stage lowers the program
+        exactly once (on a fresh thread, so no earlier test's engine is
+        in its slot)."""
+        from repro.core.stages import run_measure_stage
+        from repro.interp import CompiledEngine
+        from repro.measure.noise import GaussianNoise
+        from repro.mpisim.contention import NoContention
+
+        lowered = []
+        original = CompiledEngine._compile_functions
+
+        def counting(engine):
+            lowered.append(engine.program)
+            original(engine)
+
+        monkeypatch.setattr(CompiledEngine, "_compile_functions", counting)
+        program = lulesh_workload.program()
+        design = [
+            {"p": p, "size": size} for p in (27, 64, 125) for size in (6, 9, 12)
+        ]
+        out = {}
+
+        def stage():
+            out["result"] = run_measure_stage(
+                lulesh_workload,
+                design,
+                full_plan(program),
+                noise=GaussianNoise(),
+                contention=NoContention(),
+                repetitions=2,
+                seed=3,
+                engine="compiled",
+            )
+
+        worker = threading.Thread(target=stage)
+        worker.start()
+        worker.join()
+        _measurements, profiles = out["result"]
+        assert len(profiles) == 9
+        assert lowered == [program]
+
+    def test_concurrent_threads_match_serial(self, lulesh_workload):
+        """Two threads profiling different LULESH configurations at once
+        (each reusing its own engine) produce exactly the profiles of a
+        serial run and of fresh engines."""
+        from repro.measure.profiler import ProfileResult, ScorePListener
+
+        program = lulesh_workload.program()
+        plan = full_plan(program)
+        configs = [
+            {"p": p, "size": size} for p in (8, 27) for size in (3, 4, 5)
+        ]
+
+        def profile(config):
+            setup = lulesh_workload.setup(config)
+            result = profile_run(
+                program,
+                setup.args,
+                plan,
+                runtime=setup.runtime,
+                exec_config=setup.exec_config,
+                entry=setup.entry,
+            )
+            return profile_to_dict(result), result.loop_iterations
+
+        def fresh(config):
+            setup = lulesh_workload.setup(config)
+            listener = ScorePListener(plan)
+            engine = make_engine(
+                program,
+                "compiled",
+                runtime=setup.runtime,
+                config=setup.exec_config,
+                listener=listener,
+            )
+            result = engine.run(setup.args, entry=setup.entry)
+            iterations = dict(result.metrics.loop_iterations)
+            profile = ProfileResult(
+                plan=plan, nodes=listener.nodes, loop_iterations=iterations
+            )
+            return profile_to_dict(profile), iterations
+
+        expected = [fresh(c) for c in configs]
+        assert [profile(c) for c in configs] == expected
+
+        halves = (configs[0::2], configs[1::2])
+        got: list[list] = [[], []]
+        barrier = threading.Barrier(2)
+
+        def worker(slot: int) -> None:
+            barrier.wait()
+            for _ in range(2):
+                for config in halves[slot]:
+                    got[slot].append((configs.index(config), profile(config)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two runs finely
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        outcomes = got[0] + got[1]
+        assert len(outcomes) == 2 * len(configs)
+        for index, outcome in outcomes:
+            assert outcome == expected[index], configs[index]

@@ -209,10 +209,11 @@ class TestServiceRestartRecovery:
         root = tmp_path / "state"
         first = CampaignService(root, chunk_size=1)
         campaign_id = first.submit(SPEC)
-        assert wait_for(
-            lambda: first.status(campaign_id)["stages"]["design"]
-            == "computed"
-        )
+        # Wait for the measure job itself, not an earlier stage: the plan
+        # stage and the job submit still run on the service thread after
+        # `design` is computed, and a stop-when-idle worker started then
+        # can find the queue empty and exit with no lease.
+        assert wait_for(lambda: first.broker.queue_depth() > 0)
         # One worker completes exactly one single-configuration lease,
         # then the server "crashes".
         stats = drain_with_worker(first.broker, max_leases=1)
