@@ -1,12 +1,14 @@
-"""Serial-vs-parallel scaling of the experiment execution engine.
+"""Serial-vs-parallel scaling of the measure pipeline.
 
-Fans the synthetic app sweep out over worker processes and records the
-speedup over the serial runner, the bit-identity of the results, and the
-effect of the on-disk run cache (a second sweep performs zero profile
-executions).  The paper's measurement campaigns (5x5 grids, 5
-repetitions) are embarrassingly parallel across configurations; this
-benchmark shows the engine exploits that without changing a single
-measured bit.
+Shards the synthetic app sweep over worker processes through the one
+local runner (:class:`BatchedExperimentRunner` on the scalar
+``compiled`` engine: each worker runs one contiguous chunk of
+configurations, lowering the program once per chunk) and records the
+speedup over one job, the bit-identity of the results, and the effect of
+the on-disk run cache (a second sweep performs zero profile executions).
+The paper's measurement campaigns (5x5 grids, 5 repetitions) are
+embarrassingly parallel across configurations; this benchmark shows the
+pipeline exploits that without changing a single measured bit.
 
 Run with ``pytest benchmarks/bench_parallel_scaling.py -s``.
 """
@@ -20,7 +22,7 @@ import time
 from repro.apps.synthetic import SyntheticWorkload, build_multiplicative_example
 from repro.interp.config import ExecConfig
 from repro.measure import (
-    ParallelExperimentRunner,
+    BatchedExperimentRunner,
     full_factorial,
     full_plan,
     measurements_to_dict,
@@ -59,8 +61,9 @@ def test_parallel_scaling(tmp_path, bench_jobs):
     timings: dict[int, float] = {}
     digests: dict[int, str] = {}
     for jobs in job_counts:
-        runner = ParallelExperimentRunner(
-            workload=workload, plan=plan, repetitions=5, seed=3, n_jobs=jobs
+        runner = BatchedExperimentRunner(
+            workload=workload, plan=plan, repetitions=5, seed=3, n_jobs=jobs,
+            engine="compiled",
         )
         started = time.perf_counter()
         measurements, _ = runner.run(design)
@@ -73,16 +76,16 @@ def test_parallel_scaling(tmp_path, bench_jobs):
 
     # Cached rerun: zero profile executions the second time around.
     cache_dir = tmp_path / "run-cache"
-    cold = ParallelExperimentRunner(
+    cold = BatchedExperimentRunner(
         workload=workload, plan=plan, repetitions=5, seed=3,
-        n_jobs=job_counts[-1], cache_dir=cache_dir,
+        n_jobs=job_counts[-1], cache_dir=cache_dir, engine="compiled",
     )
     started = time.perf_counter()
     cold_measurements, _ = cold.run(design)
     cold_time = time.perf_counter() - started
-    warm = ParallelExperimentRunner(
+    warm = BatchedExperimentRunner(
         workload=workload, plan=plan, repetitions=5, seed=3,
-        n_jobs=job_counts[-1], cache_dir=cache_dir,
+        n_jobs=job_counts[-1], cache_dir=cache_dir, engine="compiled",
     )
     started = time.perf_counter()
     warm_measurements, _ = warm.run(design)

@@ -91,14 +91,14 @@ class PerfTaintPipeline:
     modeler: Modeler = field(default_factory=Modeler)
     repetitions: int = 5
     seed: int = 0
-    #: Worker processes for the instrumented-experiments stage (1 = the
-    #: in-process serial runner).  Results are bit-identical for every
+    #: Worker processes for the instrumented-experiments stage (1 = run
+    #: in-process).  Results are bit-identical for every
     #: value: RNG streams are key-derived and merging is design-ordered.
     n_jobs: int = 1
     #: Run-cache directory; None disables caching.
     cache_dir: str | None = None
     #: Execution engine for the measurement stage ("compiled" | "tree" |
-    #: "vectorized" — batch-capable engines route to the batched runner).
+    #: "vectorized"; every engine runs through the same lane pipeline).
     engine: str = DEFAULT_MEASUREMENT_ENGINE
     #: Execution engine for the taint stage.  Any registered engine whose
     #: entry declares ``supports_taint``; the built-ins are bit-identical
@@ -189,9 +189,10 @@ class PerfTaintPipeline:
     ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
         """Run the instrumented experiments.
 
-        Uses the process-pool runner when ``n_jobs > 1`` or a run cache is
-        configured; the plain serial runner otherwise.  Both produce
-        bit-identical measurements.
+        Runs through the one local measure pipeline
+        (:func:`~repro.core.stages.run_measure_stage`) on any engine:
+        ``n_jobs`` shards it over processes and ``cache_dir`` adds a run
+        cache, neither changing a measured bit.
         """
         return run_measure_stage(
             self.workload,

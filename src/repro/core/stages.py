@@ -36,12 +36,7 @@ from ..interp import (
 )
 from ..libdb.database import LibraryDatabase
 from ..libdb.mpi_models import MPI_DATABASE
-from ..measure.experiment import (
-    ConfigKey,
-    ExperimentRunner,
-    Measurements,
-    Workload,
-)
+from ..measure.experiment import ConfigKey, Measurements, Workload
 from ..measure.instrumentation import (
     InstrumentationMode,
     InstrumentationPlan,
@@ -53,7 +48,7 @@ from ..measure.instrumentation import (
 from ..measure.batched import BatchedExperimentRunner
 from ..measure.io import program_hash
 from ..measure.noise import GaussianNoise, NoiseModel
-from ..measure.parallel import ParallelExperimentRunner, workload_repr
+from ..measure.parallel import workload_repr
 from ..measure.profiler import ProfileResult
 from ..modeling.modeler import Modeler
 from ..mpisim.contention import ContentionModel, NoContention
@@ -229,17 +224,18 @@ def run_measure_stage(
     """Run the instrumented experiments.
 
     An explicit *scheduler* takes the whole stage (distributed
-    campaigns).  Otherwise a batch-capable *engine* (``supports_batch``
-    registry metadata, e.g. ``vectorized``) routes to the whole-sweep
-    :class:`~repro.measure.batched.BatchedExperimentRunner`, which owns
-    its own ``n_jobs`` (batch-axis sharding) and run cache; the
-    process-pool runner handles ``n_jobs > 1`` or a run cache, and the
-    plain serial runner everything else.  All paths produce bit-identical
-    measurements.
+    campaigns).  Otherwise the one local runner,
+    :class:`~repro.measure.batched.BatchedExperimentRunner`, runs it on
+    any registered *engine*: it plans lanes, deduplicates them, and
+    executes each chunk as one tensor pass (batch-capable engines) or
+    one reused-engine run per lane (the rest), sharding chunks over
+    *n_jobs* processes and serving hits from the run cache at
+    *cache_dir*.  Both routes produce measurements bit-identical to the
+    serial :class:`~repro.measure.experiment.ExperimentRunner`.
 
-    A *telemetry* dict, when given, is filled in place with execution
-    accounting (currently the batched runner's lane plan under
-    ``"lanes"``).  Telemetry never enters any stage fingerprint.
+    A *telemetry* dict, when given, is filled in place with the local
+    runner's lane plan under ``"lanes"`` (planned, executed and deduped
+    lane counts).  Telemetry never enters any stage fingerprint.
     """
     if scheduler is not None:
         return scheduler.run_measure(
@@ -252,41 +248,7 @@ def run_measure_stage(
             seed=seed,
             engine=engine,
         )
-    if ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch"):
-        runner = BatchedExperimentRunner(
-            workload=workload,
-            plan=plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=seed,
-            engine=engine,
-            n_jobs=n_jobs,
-            cache_dir=cache_dir,
-        )
-        value = runner.run(design)
-        if telemetry is not None:
-            lanes = runner.last_lane_stats
-            telemetry["lanes"] = {
-                "planned": lanes.planned,
-                "executed": lanes.executed,
-                "deduped": lanes.deduped,
-            }
-        return value
-    if n_jobs > 1 or cache_dir is not None:
-        runner = ParallelExperimentRunner(
-            workload=workload,
-            plan=plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=seed,
-            n_jobs=n_jobs,
-            cache_dir=cache_dir,
-            engine=engine,
-        )
-        return runner.run(design)
-    runner = ExperimentRunner(
+    runner = BatchedExperimentRunner(
         workload=workload,
         plan=plan,
         noise=noise,
@@ -294,8 +256,18 @@ def run_measure_stage(
         repetitions=repetitions,
         seed=seed,
         engine=engine,
+        n_jobs=n_jobs,
+        cache_dir=cache_dir,
     )
-    return runner.run(design)
+    value = runner.run(design)
+    if telemetry is not None:
+        lanes = runner.last_lane_stats
+        telemetry["lanes"] = {
+            "planned": lanes.planned,
+            "executed": lanes.executed,
+            "deduped": lanes.deduped,
+        }
+    return value
 
 
 def run_model_stage(
@@ -820,6 +792,12 @@ class Campaign:
                 raise CampaignSpecError(
                     f"parameter '{name}' has non-numeric values: {entries!r}"
                 ) from None
+            floats = values[str(name)]
+            for i, value in enumerate(floats):
+                if value in floats[:i]:
+                    raise CampaignSpecError(
+                        f"parameter '{name}' repeats the value {value:g}"
+                    )
 
         factory = WORKLOAD_REGISTRY.get(app)
         workload = factory(parameters=tuple(values))

@@ -1,25 +1,33 @@
-"""Whole-sweep batched measurement: one tensor pass per design.
+"""The measure pipeline: plan lanes, execute them, draw noise, merge.
 
-The scalar runners pay one interpreter execution per configuration (and
-~25us of RNG stream setup per noise sample).  This runner hands the whole
-design to a batch-capable engine (``supports_batch`` registry metadata,
-see :func:`repro.interp.batch_capable_engines`) in one
-:func:`~repro.measure.profiler.profile_run_batch` call, and samples every
-(function, configuration, repetition) noise stream through
-:func:`~repro.measure.noise.perturb_block` — the vectorized twin of the
-scalar ``rng_for`` derivation.
+Every local measure path runs through this module, whatever the engine.
+:class:`BatchedExperimentRunner` fingerprints the design against the
+optional :class:`~repro.measure.io.RunCache`, cuts the misses into
+chunks (:func:`batch_chunks`), and hands each chunk to
+:func:`run_batch_configurations`, the one lane executor.  The executor
+plans the chunk's lanes (:func:`plan_lanes`) and executes only the
+representatives: a batch-capable engine (``supports_batch`` registry
+metadata, e.g. ``vectorized``) runs them as one
+:func:`~repro.measure.profiler.profile_run_batch` tensor pass, any other
+engine runs one :func:`~repro.measure.profiler.profile_run` per lane on
+the thread's reused engine, so a chunk lowers its program once.  Then
+duplicate slots are broadcast and every (function, configuration,
+repetition) noise stream of the chunk is sampled in one
+:func:`~repro.measure.noise.perturb_block` call, the vectorized twin of
+the scalar ``rng_for`` derivation.  The campaign-service worker runs its
+leases through the same executor.
 
-Bit-identity contract: for any design, batch size, and worker count the
-returned :class:`~repro.measure.experiment.Measurements` equal the serial
-:class:`~repro.measure.experiment.ExperimentRunner`'s bit for bit.  The
-engine guarantees per-lane profile identity; noise streams depend only on
-``(seed, function, key, repetition)``; and results merge in canonical
-design order (:func:`~repro.measure.experiment.merge_results_dense`).
+Bit-identity contract: for any design, engine, batch size, and worker
+count the returned :class:`~repro.measure.experiment.Measurements`
+equal the serial :class:`~repro.measure.experiment.ExperimentRunner`'s
+(the reference oracle) bit for bit.  Engines guarantee per-lane profile
+identity; noise streams depend only on ``(seed, function, key,
+repetition)``; and results merge in canonical design order
+(:func:`~repro.measure.experiment.merge_results`).
 
-Composition with the process-pool runner: ``n_jobs > 1`` shards the
-*batch axis* across workers — each worker executes one contiguous chunk
-of configurations as its own batch, reusing the
-:class:`~repro.measure.parallel.WorkloadSpec` rebuild machinery so no
+``n_jobs > 1`` shards the *batch axis* across a process pool: each
+worker executes one contiguous chunk of configurations, rebuilding the
+workload from its :class:`~repro.measure.parallel.WorkloadSpec` so no
 live workload objects cross process boundaries.
 """
 
@@ -31,8 +39,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ..errors import RegistryError
-from ..interp import batch_capable_engines
 from ..mpisim.contention import ContentionModel, NoContention
 from ..registry import ENGINE_REGISTRY
 from .experiment import (
@@ -42,7 +48,8 @@ from .experiment import (
     RunSetup,
     Workload,
     config_key,
-    merge_results_dense,
+    merge_results,
+    require_unique_keys,
 )
 from .instrumentation import InstrumentationPlan
 from .io import RunCache, program_hash
@@ -54,9 +61,17 @@ from .parallel import (
     spec_of,
     workload_repr,
 )
-from .profiler import APP_KEY, ProfileNode, ProfileResult, profile_run_batch
+from .profiler import (
+    APP_KEY,
+    ProfileNode,
+    ProfileResult,
+    profile_run,
+    profile_run_batch,
+)
 
-#: Default batched engine (the only built-in with ``supports_batch``).
+#: Default engine of :class:`BatchedExperimentRunner` and
+#: :func:`run_batch_configurations` (the only built-in with
+#: ``supports_batch``); campaigns pass their own engine.
 DEFAULT_BATCH_ENGINE = "vectorized"
 
 
@@ -195,19 +210,6 @@ def _broadcast_profile(profile: ProfileResult, factor: float) -> ProfileResult:
     )
 
 
-def require_batch_engine(engine: str) -> None:
-    """Raise :class:`~repro.errors.RegistryError` unless *engine* is
-    registered as batch-capable (instead of failing deep in the run)."""
-    entry = ENGINE_REGISTRY.entry(engine)
-    if not entry.metadata.get("supports_batch"):
-        capable = ", ".join(batch_capable_engines()) or "<none>"
-        raise RegistryError(
-            f"engine '{engine}' cannot execute batches "
-            f"(batch-capable engines: {capable}; "
-            "see `repro engines` for the full capability listing)"
-        )
-
-
 def run_batch_configurations(
     program,
     setups: Sequence[RunSetup],
@@ -220,12 +222,18 @@ def run_batch_configurations(
     engine: str = DEFAULT_BATCH_ENGINE,
     dedup: bool = True,
 ) -> list[ConfigRunResult]:
-    """Batched twin of :func:`~repro.measure.experiment.run_configuration`.
+    """The lane executor: profile one chunk of *setups*, then sample
+    its noise as one block.
 
-    One profiled tensor pass over all *setups* (which must share
-    ``exec_config`` and ``entry`` — the engine compiles one program
-    against one execution config), then one noise block covering every
-    (function, key, repetition) triple of the whole chunk.
+    The setups must share ``exec_config`` and ``entry`` (the engine
+    lowers one program against one execution config; see
+    :func:`batch_chunks`).  A batch-capable *engine* profiles the
+    chunk's lanes in one tensor pass; any other engine profiles them one
+    :func:`~repro.measure.profiler.profile_run` at a time on the
+    thread's reused engine.  Either way one noise block then covers
+    every (function, key, repetition) triple of the whole chunk, and
+    each result is bit-identical to
+    :func:`~repro.measure.experiment.run_configuration` of its setup.
 
     With *dedup* (the default), setups with identical configuration
     identity (:func:`plan_lanes`) share one representative engine lane
@@ -240,16 +248,31 @@ def run_batch_configurations(
     else:
         representatives = list(range(len(setups)))
         slot_to_rep = list(range(len(setups)))
-    rep_profiles = profile_run_batch(
-        program,
-        [setups[i].args for i in representatives],
-        plan,
-        runtimes=[setups[i].runtime for i in representatives],
-        exec_config=setups[0].exec_config,
-        contention_factors=[factors[i] for i in representatives],
-        entry=setups[0].entry,
-        engine=engine,
-    )
+    if ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch"):
+        rep_profiles = profile_run_batch(
+            program,
+            [setups[i].args for i in representatives],
+            plan,
+            runtimes=[setups[i].runtime for i in representatives],
+            exec_config=setups[0].exec_config,
+            contention_factors=[factors[i] for i in representatives],
+            entry=setups[0].entry,
+            engine=engine,
+        )
+    else:
+        rep_profiles = [
+            profile_run(
+                program,
+                setups[i].args,
+                plan,
+                runtime=setups[i].runtime,
+                exec_config=setups[i].exec_config,
+                contention_factor=factors[i],
+                entry=setups[i].entry,
+                engine=engine,
+            )
+            for i in representatives
+        ]
     profiles = [
         rep_profiles[rep]
         if representatives[rep] == slot
@@ -304,7 +327,7 @@ class _BatchTask:
 def _run_batch_task(
     task: _BatchTask,
 ) -> list[tuple[int, ConfigRunResult]]:
-    """Worker entry point: rebuild the workload, run one chunk batched."""
+    """Worker entry point: rebuild the workload, run one chunk."""
     workload = _workload_for(task.spec_blob)
     setups = [workload.setup(dict(config)) for config in task.configs]
     results = run_batch_configurations(
@@ -328,14 +351,15 @@ def _run_batch_task(
 
 @dataclass
 class BatchedExperimentRunner:
-    """Runs a whole design as tensor batches on a batch-capable engine.
+    """Runs a whole design through the lane pipeline, on any engine.
 
-    Drop-in equivalent of the serial and parallel runners: bit-identical
-    measurements for every ``batch_size`` and ``n_jobs``.  ``batch_size``
-    caps lanes per engine pass (``None`` = whole design in one pass;
-    with ``n_jobs > 1`` the default shards the design evenly across
-    workers).  Configurations whose setups disagree on ``exec_config`` or
-    ``entry`` are split into per-group batches automatically.
+    The one production runner: bit-identical measurements to the serial
+    :class:`~repro.measure.experiment.ExperimentRunner` for every
+    ``engine``, ``batch_size`` and ``n_jobs``.  ``batch_size`` caps lanes
+    per executor call (``None`` = whole design in one call; with
+    ``n_jobs > 1`` the default shards the design evenly across workers).
+    Configurations whose setups disagree on ``exec_config`` or ``entry``
+    are split into per-group chunks automatically.
     """
 
     workload: Workload
@@ -357,39 +381,12 @@ class BatchedExperimentRunner:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        require_batch_engine(self.engine)
+        ENGINE_REGISTRY.entry(self.engine)  # unknown engines fail here
         self._cache = (
             RunCache(self.cache_dir) if self.cache_dir is not None else None
         )
         self.last_stats = RunStats()
         self.last_lane_stats = LaneStats()
-
-    # -- cache keys --------------------------------------------------------
-
-    def _fingerprint(
-        self,
-        program_digest: str,
-        config: Mapping[str, float],
-        setup: RunSetup,
-        workload_repr: str,
-    ) -> str:
-        # The engine name participates, so caches populated by scalar
-        # engines are never served to batched runs or vice versa (results
-        # are bit-identical, but provenance must stay honest).
-        return configuration_fingerprint(
-            program_digest,
-            config,
-            setup,
-            self.plan,
-            self.noise,
-            self.contention,
-            self.repetitions,
-            self.seed,
-            workload_repr,
-            self.engine,
-        )
-
-    # -- execution ---------------------------------------------------------
 
     def run(
         self, design: Iterable[Mapping[str, float]]
@@ -399,6 +396,7 @@ class BatchedExperimentRunner:
         parameters = tuple(self.workload.parameters)
         program = self.workload.program()
         keys = [config_key(parameters, c) for c in configs]
+        require_unique_keys(parameters, keys)
         setups = [self.workload.setup(c) for c in configs]
 
         results: list[ConfigRunResult | None] = [None] * len(configs)
@@ -409,8 +407,20 @@ class BatchedExperimentRunner:
             wl_repr = workload_repr(self.workload)
         for index in range(len(configs)):
             if self._cache is not None:
-                fingerprints[index] = self._fingerprint(
-                    digest, configs[index], setups[index], wl_repr
+                # The engine name participates, so a cache populated by
+                # one engine is never served to another (results are
+                # bit-identical, but provenance must stay honest).
+                fingerprints[index] = configuration_fingerprint(
+                    digest,
+                    configs[index],
+                    setups[index],
+                    self.plan,
+                    self.noise,
+                    self.contention,
+                    self.repetitions,
+                    self.seed,
+                    wl_repr,
+                    self.engine,
                 )
                 hit = self._cache.get(fingerprints[index])
                 if hit is not None:
@@ -420,7 +430,9 @@ class BatchedExperimentRunner:
 
         lane_stats = LaneStats()
         if pending:
-            chunks = self._chunks(pending, setups)
+            chunks = batch_chunks(
+                pending, setups, self.batch_size, self.n_jobs
+            )
             # Driver-side lane accounting: execution-side dedup is
             # deterministic per chunk, so the plan sum equals what the
             # workers actually run — also with n_jobs > 1.
@@ -462,14 +474,7 @@ class BatchedExperimentRunner:
             cached=sum(1 for r in results if r.cached),
         )
         self.last_lane_stats = lane_stats
-        return merge_results_dense(parameters, results)
-
-    def _chunks(
-        self, pending: Sequence[int], setups: Sequence[RunSetup]
-    ) -> list[list[int]]:
-        """See :func:`batch_chunks` (module-level for reuse by the
-        campaign-service broker)."""
-        return batch_chunks(pending, setups, self.batch_size, self.n_jobs)
+        return merge_results(parameters, results)
 
     def _run_pool(
         self,

@@ -70,7 +70,11 @@ class Workload(Protocol):
 def full_factorial(
     parameter_values: Mapping[str, Sequence[float]]
 ) -> list[dict[str, float]]:
-    """All combinations of the given per-parameter value lists."""
+    """All combinations of the given per-parameter value lists.
+
+    A repeated value would repeat design points, which no measurement
+    container can hold apart, so it is rejected like an empty list.
+    """
     names = list(parameter_values)
     if not names:
         raise DesignError("empty design")
@@ -79,6 +83,13 @@ def full_factorial(
             raise DesignError(
                 f"parameter '{name}' has an empty value list"
             )
+        seen: set[float] = set()
+        for value in parameter_values[name]:
+            if float(value) in seen:
+                raise DesignError(
+                    f"parameter '{name}' repeats the value {value!r}"
+                )
+            seen.add(float(value))
     combos = product(*(parameter_values[n] for n in names))
     return [dict(zip(names, combo)) for combo in combos]
 
@@ -274,6 +285,20 @@ def run_configuration(
     return result
 
 
+def require_unique_keys(
+    parameters: Sequence[str], keys: Iterable[ConfigKey]
+) -> None:
+    """Raise :class:`~repro.errors.DesignError` on a repeated
+    configuration key: a design names each point once, and its
+    repetitions come from the noise model, not from listing it twice."""
+    seen: set[ConfigKey] = set()
+    for key in keys:
+        if key in seen:
+            point = ", ".join(f"{p}={v:g}" for p, v in zip(parameters, key))
+            raise DesignError(f"design repeats the configuration ({point})")
+        seen.add(key)
+
+
 def merge_results(
     parameters: tuple[str, ...],
     results: Sequence[ConfigRunResult],
@@ -282,33 +307,12 @@ def merge_results(
 
     Callers must pass *results* in canonical design order: merge order is
     the only execution-order-dependent step, so fixing it here is what
-    makes parallel runs bit-identical to serial ones.
+    makes parallel runs bit-identical to serial ones.  Every key appears
+    once (:func:`require_unique_keys`), so each (function, key)
+    repetition list is assigned wholesale — one dict probe per
+    (function, key), not one per sample.
     """
-    measurements = Measurements(parameters=parameters)
-    profiles: dict[ConfigKey, ProfileResult] = {}
-    for result in results:
-        profiles[result.key] = result.profile
-        for name, values in result.samples.items():
-            for value in values:
-                measurements.add(name, result.key, value)
-        for name, calls in result.calls.items():
-            measurements.calls.setdefault(name, {})[result.key] = calls
-    return measurements, profiles
-
-
-def merge_results_dense(
-    parameters: tuple[str, ...],
-    results: Sequence[ConfigRunResult],
-) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-    """:func:`merge_results` for whole-design result sets.
-
-    When every configuration key appears exactly once — the invariant of
-    canonical designs, and what the batched runner delivers — each
-    (function, key) repetition list can be assigned wholesale instead of
-    being grown ``append``-by-``append`` through :meth:`Measurements.add`
-    (one dict probe per sample, ~repetitions x configs x functions of
-    them per sweep).  Same output, one probe per (function, key).
-    """
+    require_unique_keys(parameters, (result.key for result in results))
     measurements = Measurements(parameters=parameters)
     profiles: dict[ConfigKey, ProfileResult] = {}
     data = measurements.data

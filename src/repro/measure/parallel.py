@@ -1,52 +1,38 @@
-"""Parallel, cached experiment execution.
+"""Workload specs and run-cache keys shared by every measure path.
 
 The paper's measurement campaigns are embarrassingly parallel: every
 configuration of the design is an independent profiled run (benchbuild
 structures its experiments the same way — independent, cacheable jobs
-fanned out over workers).  This module fans configurations out over a
-``concurrent.futures`` process pool and merges the results **in canonical
-design order**, with every noise sample drawn from a purely key-derived
-RNG stream (:func:`~repro.measure.noise.rng_for`) — so the measurements
-are bit-identical regardless of worker count or completion order.
+fanned out over workers).  The one local runner,
+:class:`~repro.measure.batched.BatchedExperimentRunner`, shards a design
+over a process pool, and the campaign-service broker leases it out to
+workers; this module holds what both need to agree on.
 
 Workers do not unpickle live :class:`~repro.measure.experiment.Workload`
 objects (those may hold caches, runtimes, and other process-local state);
 they rebuild the workload from a :class:`WorkloadSpec` — a picklable
 (factory, args, kwargs) triple — and memoize the built workload per
-process so the program is constructed once per worker, not once per
-configuration.
+process (:func:`_workload_for`) so the program is constructed once per
+worker, not once per chunk.
 
-An optional on-disk :class:`~repro.measure.io.RunCache` short-circuits
-configurations that were already measured with identical inputs (program
-content, configuration, instrumentation plan, execution config, noise
-model, seed, ...), making repeated sweeps and benchmark reruns nearly
-free.
+:func:`configuration_fingerprint` keys the on-disk
+:class:`~repro.measure.io.RunCache` and the service's shared run store,
+so a configuration measured with identical inputs (program content,
+configuration, instrumentation plan, execution config, noise model,
+seed, engine, ...) is measured once, by whichever path gets there first.
 """
 
 from __future__ import annotations
 
-import pathlib
 import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from ..interp import DEFAULT_MEASUREMENT_ENGINE
-from ..mpisim.contention import ContentionModel, NoContention
-from .experiment import (
-    ConfigKey,
-    ConfigRunResult,
-    Measurements,
-    RunSetup,
-    Workload,
-    config_key,
-    merge_results,
-    run_configuration,
-)
+from ..mpisim.contention import ContentionModel
+from .experiment import RunSetup, Workload
 from .instrumentation import InstrumentationPlan
-from .io import RunCache, program_hash, run_fingerprint
-from .noise import GaussianNoise, NoiseModel
-from .profiler import ProfileResult
+from .io import run_fingerprint
+from .noise import NoiseModel
 
 
 @dataclass(frozen=True)
@@ -108,9 +94,9 @@ def configuration_fingerprint(
     The setup carries everything the workload derives from the
     configuration point (entry args, exec config, runtime/network
     parameters) — fingerprint the derived state, not just the point.
-    The parallel runner, the batched runner, and the campaign-service
-    broker all key their caches with this function, so a configuration
-    measured by any of them is a hit for all of them.
+    The local runner and the campaign-service broker both key their
+    caches with this function, so a configuration measured by either is
+    a hit for both.
     """
     exec_repr = ";".join(
         [
@@ -169,44 +155,6 @@ def _workload_for(spec_blob: bytes) -> Workload:
     return workload
 
 
-@dataclass(frozen=True)
-class _ConfigTask:
-    """One configuration's work order, shipped to a worker."""
-
-    index: int
-    spec_blob: bytes
-    config: tuple[tuple[str, float], ...]
-    plan: InstrumentationPlan
-    noise: NoiseModel
-    contention: ContentionModel
-    repetitions: int
-    seed: int
-    key: ConfigKey
-    engine: str = DEFAULT_MEASUREMENT_ENGINE
-
-
-def _run_task(task: _ConfigTask) -> tuple[int, ConfigRunResult]:
-    """Worker entry point: rebuild the workload, run one configuration."""
-    workload = _workload_for(task.spec_blob)
-    setup = workload.setup(dict(task.config))
-    result = run_configuration(
-        workload.program(),
-        setup,
-        task.plan,
-        task.noise,
-        task.contention,
-        task.repetitions,
-        task.seed,
-        task.key,
-        engine=task.engine,
-    )
-    return task.index, result
-
-
-# ----------------------------------------------------------------------
-# driver side
-
-
 @dataclass
 class RunStats:
     """Where the results of the last run came from."""
@@ -217,153 +165,3 @@ class RunStats:
     @property
     def total(self) -> int:
         return self.executed + self.cached
-
-
-@dataclass
-class ParallelExperimentRunner:
-    """Fan a design out over a process pool, with an optional run cache.
-
-    Drop-in equivalent of :class:`~repro.measure.experiment.ExperimentRunner`:
-    for any design, ``run()`` returns bit-identical measurements for every
-    ``n_jobs`` value, because per-sample RNG streams depend only on
-    ``(seed, function, configuration, repetition)`` and results are merged
-    in design order.  ``n_jobs=1`` executes inline (no pool, no pickling)
-    but still honors the cache.
-    """
-
-    workload: Workload
-    plan: InstrumentationPlan
-    noise: NoiseModel = field(default_factory=GaussianNoise)
-    contention: ContentionModel = field(default_factory=NoContention)
-    repetitions: int = 5
-    seed: int = 0
-    n_jobs: int = 1
-    cache_dir: str | pathlib.Path | None = None
-    #: Execution engine for the profiled runs ("compiled" | "tree").
-    #: Folded into cache fingerprints so a cache populated by one engine
-    #: is never served to the other.
-    engine: str = DEFAULT_MEASUREMENT_ENGINE
-
-    def __post_init__(self) -> None:
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        self._cache = (
-            RunCache(self.cache_dir) if self.cache_dir is not None else None
-        )
-        #: Execution/cache counters of the most recent :meth:`run`.
-        self.last_stats = RunStats()
-
-    # -- cache keys --------------------------------------------------------
-
-    def _workload_repr(self) -> str:
-        """See :func:`workload_repr` (module-level for reuse by the
-        campaign stage fingerprints)."""
-        return workload_repr(self.workload)
-
-    def _fingerprint(
-        self,
-        program_digest: str,
-        config: Mapping[str, float],
-        setup: RunSetup,
-        workload_repr: str,
-    ) -> str:
-        return configuration_fingerprint(
-            program_digest,
-            config,
-            setup,
-            self.plan,
-            self.noise,
-            self.contention,
-            self.repetitions,
-            self.seed,
-            workload_repr,
-            self.engine,
-        )
-
-    # -- execution ---------------------------------------------------------
-
-    def run(
-        self, design: Iterable[Mapping[str, float]]
-    ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-        """Execute the design; return measurements and per-config profiles."""
-        configs = [dict(c) for c in design]
-        parameters = tuple(self.workload.parameters)
-        program = self.workload.program()
-        digest = program_hash(program) if self._cache is not None else ""
-        workload_repr = self._workload_repr() if self._cache is not None else ""
-
-        results: list[ConfigRunResult | None] = [None] * len(configs)
-        pending: list[int] = []
-        fingerprints: list[str | None] = [None] * len(configs)
-        setups: list[RunSetup | None] = [None] * len(configs)
-
-        for index, config in enumerate(configs):
-            if self._cache is not None:
-                setups[index] = self.workload.setup(config)
-                fingerprints[index] = self._fingerprint(
-                    digest, config, setups[index], workload_repr
-                )
-                hit = self._cache.get(fingerprints[index])
-                if hit is not None:
-                    results[index] = hit
-                    continue
-            pending.append(index)
-
-        if pending:
-            if self.n_jobs == 1:
-                for index in pending:
-                    setup = setups[index] or self.workload.setup(configs[index])
-                    results[index] = run_configuration(
-                        program,
-                        setup,
-                        self.plan,
-                        self.noise,
-                        self.contention,
-                        self.repetitions,
-                        self.seed,
-                        config_key(parameters, configs[index]),
-                        engine=self.engine,
-                    )
-            else:
-                self._run_pool(parameters, configs, pending, results)
-            if self._cache is not None:
-                for index in pending:
-                    self._cache.put(fingerprints[index], results[index])
-
-        self.last_stats = RunStats(
-            executed=sum(1 for r in results if not r.cached),
-            cached=sum(1 for r in results if r.cached),
-        )
-        return merge_results(parameters, results)
-
-    def _run_pool(
-        self,
-        parameters: tuple[str, ...],
-        configs: Sequence[Mapping[str, float]],
-        pending: Sequence[int],
-        results: list[ConfigRunResult | None],
-    ) -> None:
-        spec_blob = pickle.dumps(spec_of(self.workload))
-        tasks = [
-            _ConfigTask(
-                index=index,
-                spec_blob=spec_blob,
-                config=tuple(sorted(configs[index].items())),
-                plan=self.plan,
-                noise=self.noise,
-                contention=self.contention,
-                repetitions=self.repetitions,
-                seed=self.seed,
-                key=config_key(parameters, configs[index]),
-                engine=self.engine,
-            )
-            for index in pending
-        ]
-        workers = min(self.n_jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_task, task) for task in tasks}
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, result = future.result()
-                    results[index] = result

@@ -11,9 +11,9 @@ This package promotes those two facts into a service:
 * :mod:`~repro.service.broker` — splits the measure stage into leases,
   hands them to workers, re-queues them on worker death or timeout, and
   merges results in deterministic design order (bit-identical to the
-  single-process runners for any worker count or failure schedule);
-* :mod:`~repro.service.worker` — pulls leases and executes them, routing
-  batch-capable engines to whole-chunk tensor passes;
+  local runner for any worker count or failure schedule);
+* :mod:`~repro.service.worker` — pulls leases and executes them through
+  the local runner's lane executor;
 * :mod:`~repro.service.remote_store` — the content-addressed artifact
   store and run cache behind ``get``/``put``/``has`` HTTP endpoints, so
   concurrent campaigns from many clients dedupe work fleet-wide;

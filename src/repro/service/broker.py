@@ -4,9 +4,9 @@ The broker owns one side of the campaign service's central invariant:
 
     *for any worker count, worker mix, lease sizing, and failure
     schedule, a distributed measure stage is bit-identical to the
-    single-process runners.*
+    local runner.*
 
-It holds that invariant the same way the process-pool runners do —
+It holds that invariant the same way the local runner's pool does —
 workers only ever compute :class:`~repro.measure.experiment.ConfigRunResult`
 values whose noise streams are derived purely from
 ``(seed, function, configuration key, repetition)``, and the broker
@@ -43,9 +43,10 @@ namespace (keyed by
 :func:`~repro.measure.parallel.configuration_fingerprint`) before
 pooling — one batched ``has_many`` round trip when the store supports
 it — and publishes completed results back, so two campaigns sharing
-configurations execute each profiled run once between them.  Within a
-job, design indices sharing a fingerprint lease only their first
-occurrence; the result is broadcast to the duplicates on arrival.
+configurations execute each profiled run once between them.  A job
+never repeats a configuration: submission rejects a repeated key with a
+:class:`~repro.errors.DesignError`, so no two of its design indices
+share a fingerprint.
 
 Crash safety: given a :class:`~repro.service.journal.ServiceJournal`,
 every job checkpoints its merge progress under a **content fingerprint**
@@ -79,6 +80,7 @@ from ..measure.experiment import (
     Workload,
     config_key,
     merge_results,
+    require_unique_keys,
 )
 from ..measure.instrumentation import InstrumentationPlan
 from ..measure.io import (
@@ -185,8 +187,6 @@ class MeasureJob:
     attempts: dict[int, int] = field(default_factory=dict)
     #: The job's engine carries ``supports_batch`` metadata.
     batch_capable: bool = False
-    #: Fingerprint-duplicate broadcast: leased leader -> duplicate indices.
-    duplicates: dict[int, list[int]] = field(default_factory=dict)
 
     @property
     def remaining(self) -> int:
@@ -292,17 +292,19 @@ class Broker:
     ) -> str:
         """Queue one measure stage; returns the job id.
 
-        The design is fingerprinted configuration by configuration;
-        store hits are adopted immediately (``cached``), within-job
-        fingerprint duplicates lease only their first occurrence, and
-        the remaining misses are pooled in canonical design order.
+        A design that repeats a configuration raises
+        :class:`~repro.errors.DesignError`.  The design is fingerprinted
+        configuration by configuration; store hits are adopted
+        immediately (``cached``), and the misses are pooled in canonical
+        design order.
         """
         configs = [dict(c) for c in design]
         parameters = tuple(workload.parameters)
+        keys = [config_key(parameters, c) for c in configs]
+        require_unique_keys(parameters, keys)
         program = workload.program()
         digest = program_hash(program)
         wl_repr = workload_repr(workload)
-        keys = [config_key(parameters, c) for c in configs]
         setups = [workload.setup(c) for c in configs]
         fingerprints = [
             configuration_fingerprint(
@@ -323,19 +325,12 @@ class Broker:
         hits = self._store_hits(fingerprints)
         results: "list[ConfigRunResult | None]" = [None] * len(configs)
         pending: list[int] = []
-        duplicates: dict[int, list[int]] = {}
-        leader_of: dict[str, int] = {}
         for index in range(len(configs)):
             hit = hits.get(fingerprints[index])
             if hit is not None:
                 results[index] = hit
-                continue
-            leader = leader_of.get(fingerprints[index])
-            if leader is not None:
-                duplicates.setdefault(leader, []).append(index)
-                continue
-            leader_of[fingerprints[index]] = index
-            pending.append(index)
+            else:
+                pending.append(index)
 
         try:
             batch_capable = bool(
@@ -364,7 +359,6 @@ class Broker:
                 recovered=recovered,
                 journal_key=journal_key,
                 batch_capable=batch_capable,
-                duplicates=duplicates,
             )
             self._jobs[job_id] = job
             for group in batch_chunks(pending, setups, None, None):
@@ -661,12 +655,6 @@ class Broker:
                     job.results[index] = result
                     job.executed += 1
                     to_publish.append((job.fingerprints[index], result))
-                # Broadcast to within-job fingerprint duplicates: same
-                # inputs, same bits, leased once.
-                for twin in job.duplicates.get(index, ()):
-                    if job.results[twin] is None:
-                        job.results[twin] = job.results[index]
-                        job.cached += 1
             if job.remaining == 0 and job.error is None:
                 job.done.set()
             self._record_completion_locked(lease)

@@ -7,21 +7,20 @@ campaign server (``repro worker --server http://...``).  Both expose the
 same three calls (``claim`` / ``complete`` / ``fail``), so the execution
 path is identical wherever the broker lives.
 
-Engine routing mirrors the single-process runners: leases whose engine
-carries ``supports_batch`` registry metadata execute as **one tensor
-pass** via :func:`~repro.measure.batched.run_batch_configurations`
-(broker chunks are grouped to make that legal); every other engine runs
-configuration by configuration via
-:func:`~repro.measure.experiment.run_configuration`.  Either way the
-results are bit-identical, because noise streams depend only on
-``(seed, function, configuration key, repetition)``.
+Every lease runs through the same lane executor as the local runner,
+:func:`~repro.measure.batched.run_batch_configurations` (broker chunks
+share ``exec_config``/``entry``, so any lease is one legal call): one
+tensor pass on a ``supports_batch`` engine, one reused-engine run per
+lane on any other.  The results are bit-identical to the serial runner
+either way, because noise streams depend only on ``(seed, function,
+configuration key, repetition)``.
 
 Capability claims: every claim advertises whether this worker executes
 leases as tensor batches (``supports_batch``) and its self-measured
 lanes/sec rate, so the broker can size each lease to the worker that is
 asking (see :class:`~repro.service.broker.Broker`).  ``batch=False``
-forces the per-configuration scalar path even for batch-capable engines
-— the deliberate "slow fallback worker" of a heterogeneous fleet, still
+calls the executor once per lane even on batch-capable engines — the
+deliberate "slow fallback worker" of a heterogeneous fleet, still
 bit-identical.
 
 Fault injection (tests and CI chaos): the ``REPRO_SERVICE_FAULT``
@@ -51,6 +50,7 @@ attempt budgets.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Mapping
@@ -63,10 +63,10 @@ from ..errors import (
     TransientServiceError,
 )
 from ..measure.batched import run_batch_configurations
-from ..measure.experiment import config_key, run_configuration
+from ..measure.experiment import config_key
 from ..measure.io import config_run_result_to_dict
 from ..measure.parallel import WorkloadSpec
-from ..registry import ENGINE_REGISTRY, load_builtin_components
+from ..registry import load_builtin_components
 from .protocol import (
     capability_to_wire,
     configs_from_wire,
@@ -208,10 +208,9 @@ class Worker:
     tests); ``stop_when_idle`` exits once the queue drains instead of
     polling forever; ``idle_timeout`` bounds how long an idle worker
     polls before giving up.  ``batch=False`` opts out of tensor-batch
-    execution: leases run configuration by configuration even on
-    batch-capable engines (bit-identical, scalar speed), and the claim
-    envelope advertises the reduced capability so the broker sizes
-    leases accordingly.
+    execution: leases run lane by lane even on batch-capable engines
+    (bit-identical, scalar speed), and the claim envelope advertises the
+    reduced capability so the broker sizes leases accordingly.
     """
 
     def __init__(
@@ -245,8 +244,9 @@ class Worker:
         #: Self-measured lanes/sec (EWMA over executed leases), sent
         #: with every claim so a fresh broker can size the first lease.
         self.lanes_per_sec: "float | None" = None
-        #: Per-job workload memo: rebuild once, reuse for every lease.
-        self._workloads: dict[str, object] = {}
+        #: Workload memo keyed by the pickled spec: one build per
+        #: distinct workload, reused across leases and jobs.
+        self._workloads: dict[bytes, object] = {}
         load_builtin_components()
 
     def capability(self) -> dict:
@@ -381,11 +381,12 @@ class Worker:
 
     # -- lease execution ---------------------------------------------------
 
-    def _workload_for(self, job_id: str, spec: WorkloadSpec):
-        workload = self._workloads.get(job_id)
+    def _workload_for(self, spec: WorkloadSpec):
+        blob = pickle.dumps(spec)
+        workload = self._workloads.get(blob)
         if workload is None:
             workload = spec.build()
-            self._workloads[job_id] = workload
+            self._workloads[blob] = workload
         return workload
 
     def execute(self, lease: Mapping) -> list[dict]:
@@ -394,7 +395,6 @@ class Worker:
             task = measure_task_from_wire(lease["task"])
             configs = configs_from_wire(lease["configs"])
             indices = [int(i) for i in lease["indices"]]
-            job_id = str(lease["job"])
         except (ProtocolVersionMismatch, ServiceError):
             raise
         except Exception as exc:
@@ -404,7 +404,7 @@ class Worker:
             raise ServiceError(
                 f"lease {lease.get('lease')!r} does not decode: {exc!r}"
             ) from exc
-        workload = self._workload_for(job_id, task.workload_spec)
+        workload = self._workload_for(task.workload_spec)
         if len(configs) != len(indices):
             raise ServiceError(
                 f"malformed lease {lease.get('lease')!r}: "
@@ -414,12 +414,18 @@ class Worker:
         program = workload.program()
         setups = [workload.setup(c) for c in configs]
         keys = [config_key(parameters, c) for c in configs]
-        entry = ENGINE_REGISTRY.entry(task.engine)
-        if entry.metadata.get("supports_batch") and self.batch:
-            results = run_batch_configurations(
+        lanes = (
+            [(setups, keys)]
+            if self.batch
+            else [([s], [k]) for s, k in zip(setups, keys)]
+        )
+        results = [
+            result
+            for lane_setups, lane_keys in lanes
+            for result in run_batch_configurations(
                 program,
-                setups,
-                keys,
+                lane_setups,
+                lane_keys,
                 task.plan,
                 task.noise,
                 task.contention,
@@ -427,21 +433,7 @@ class Worker:
                 task.seed,
                 engine=task.engine,
             )
-        else:
-            results = [
-                run_configuration(
-                    program,
-                    setup,
-                    task.plan,
-                    task.noise,
-                    task.contention,
-                    task.repetitions,
-                    task.seed,
-                    key,
-                    engine=task.engine,
-                )
-                for setup, key in zip(setups, keys)
-            ]
+        ]
         return [
             {"index": index, "result": config_run_result_to_dict(result)}
             for index, result in zip(indices, results)

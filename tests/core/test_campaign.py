@@ -355,6 +355,16 @@ class TestCampaignSpec:
         with pytest.raises(CampaignSpecError):
             Campaign.from_spec(spec)
 
+    def test_repeated_parameter_value_rejected(self):
+        """A repeated value would repeat design points; the spec names
+        the parameter and the value instead of measuring them twice."""
+        spec = self.base_spec()
+        spec["parameters"] = {"p": [27, 27, 64], "s": [3]}
+        with pytest.raises(CampaignSpecError) as err:
+            Campaign.from_spec(spec)
+        assert "'p'" in str(err.value)
+        assert "27" in str(err.value)
+
     def test_unknown_component_names_rejected(self):
         for key, value in (
             ("noise", "fancy"),
@@ -472,3 +482,21 @@ class TestModelBackendThreading:
         a.run()
         b.run()
         assert a.fingerprints["model"] != b.fingerprints["model"]
+
+
+class TestLaneTelemetry:
+    @pytest.mark.parametrize("engine", ["tree", "compiled", "vectorized"])
+    def test_every_engine_reports_its_lane_plan(self, engine):
+        """The one local measure path fills the lane plan whatever the
+        engine: every repetition of every configuration is planned,
+        one lane per configuration executes."""
+        campaign = synthetic_campaign(
+            engine=engine, design_strategy="full-factorial"
+        )
+        campaign.run()
+        configs = len(SYNTH_VALUES["p"]) * len(SYNTH_VALUES["s"])
+        assert campaign.measure_telemetry["lanes"] == {
+            "planned": configs * 2,
+            "executed": configs,
+            "deduped": configs,
+        }

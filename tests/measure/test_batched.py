@@ -28,17 +28,16 @@ from repro.measure import (
     BatchedExperimentRunner,
     ExperimentRunner,
     GaussianNoise,
+    Measurements,
     NoNoise,
     full_factorial,
     full_plan,
     measurements_to_dict,
     merge_results,
-    merge_results_dense,
     perturb_block,
     profile_run,
     profile_run_batch,
     profile_to_dict,
-    require_batch_engine,
     rng_for,
     stream_seed,
 )
@@ -157,10 +156,16 @@ class TestMergeDense:
             )
             for config in design
         ]
-        dense = merge_results_dense(parameters, results)
-        appended = merge_results(parameters, results)
-        assert canonical(dense[0]) == canonical(appended[0])
-        assert set(dense[1]) == set(appended[1])
+        dense = merge_results(parameters, results)
+        appended = Measurements(parameters=parameters)
+        for result in results:
+            for name, values in result.samples.items():
+                for value in values:
+                    appended.add(name, result.key, value)
+            for name, calls in result.calls.items():
+                appended.calls.setdefault(name, {})[result.key] = calls
+        assert canonical(dense[0]) == canonical(appended)
+        assert set(dense[1]) == {r.key for r in results}
         assert canonical(dense[0]) == canonical(measurements)
 
 
@@ -280,13 +285,33 @@ class TestSerialBatchedIdentity:
         assert warm.last_stats.cached == len(design)
         assert canonical(m_warm) == canonical(m_cold)
 
-    def test_rejects_scalar_engine(self):
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_scalar_engines_bit_identical(self, engine, n_jobs):
+        """Scalar engines run the same lane pipeline, one reused-engine
+        run per lane, and match the serial oracle bit for bit."""
         workload = make_scaling_workload()
-        with pytest.raises(RegistryError, match="vectorized"):
+        plan = full_plan(workload.program())
+        design = full_factorial({"p": [2.0, 3.0, 4.0], "s": [4.0, 6.0]})
+        kwargs = dict(
+            workload=workload, plan=plan, repetitions=3, seed=5, engine=engine
+        )
+        m_serial, p_serial = ExperimentRunner(**kwargs).run(design)
+        runner = BatchedExperimentRunner(**kwargs, n_jobs=n_jobs)
+        m_lanes, p_lanes = runner.run(design)
+        assert canonical(m_serial) == canonical(m_lanes)
+        assert {k: profile_to_dict(v) for k, v in p_serial.items()} == {
+            k: profile_to_dict(v) for k, v in p_lanes.items()
+        }
+        assert runner.last_lane_stats.executed == len(design)
+
+    def test_rejects_unknown_engine(self):
+        workload = make_scaling_workload()
+        with pytest.raises(RegistryError):
             BatchedExperimentRunner(
                 workload=workload,
                 plan=full_plan(workload.program()),
-                engine="compiled",
+                engine="no-such-engine",
             )
 
     def test_rejects_invalid_batch_size_and_jobs(self):
@@ -298,11 +323,6 @@ class TestSerialBatchedIdentity:
             )
         with pytest.raises(ValueError):
             BatchedExperimentRunner(workload=workload, plan=plan, n_jobs=0)
-
-    def test_require_batch_engine_names_capable_set(self):
-        require_batch_engine("vectorized")
-        with pytest.raises(RegistryError, match="repro engines"):
-            require_batch_engine("tree")
 
 
 class TestMeasureStageRouting:

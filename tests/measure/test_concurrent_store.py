@@ -21,7 +21,7 @@ import pytest
 from repro.apps.synthetic import SyntheticWorkload, build_foo_example
 from repro.core.artifacts import ArtifactStore
 from repro.measure import (
-    ParallelExperimentRunner,
+    BatchedExperimentRunner,
     RunCache,
     full_plan,
     measurements_to_dict,
@@ -162,7 +162,7 @@ def run_sweep(root: str) -> tuple[int, str]:
     workload = SyntheticWorkload(
         builder=build_foo_example, parameters=("a", "b")
     )
-    runner = ParallelExperimentRunner(
+    runner = BatchedExperimentRunner(
         workload=workload,
         plan=full_plan(workload.program()),
         noise=GaussianNoise(),
@@ -170,6 +170,7 @@ def run_sweep(root: str) -> tuple[int, str]:
         repetitions=3,
         seed=0,
         cache_dir=root,
+        engine="compiled",
     )
     design = [
         {"a": float(a), "b": float(b)}

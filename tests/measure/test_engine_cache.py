@@ -14,7 +14,7 @@ import json
 from repro.apps.synthetic import make_scaling_workload
 from repro.measure.instrumentation import full_plan
 from repro.measure.io import measurements_to_dict, run_fingerprint
-from repro.measure.parallel import ParallelExperimentRunner
+from repro.measure.batched import BatchedExperimentRunner
 
 DESIGN = [
     {"p": 2.0, "s": 3.0},
@@ -23,9 +23,9 @@ DESIGN = [
 ]
 
 
-def _runner(engine: str, cache_dir) -> ParallelExperimentRunner:
+def _runner(engine: str, cache_dir) -> BatchedExperimentRunner:
     workload = make_scaling_workload()
-    return ParallelExperimentRunner(
+    return BatchedExperimentRunner(
         workload=workload,
         plan=full_plan(workload.program()),
         repetitions=2,

@@ -1,10 +1,12 @@
-"""Parallel execution engine: determinism, caching, specs, shared state.
+"""Process-pool sharding: determinism, caching, specs, shared state.
 
-The headline invariant under test: serial and parallel runs of the same
-design produce bit-identical ``Measurements`` regardless of worker count,
-submission order, or completion order, because every noise sample's RNG
-stream is derived purely from (seed, function, configuration, repetition)
-and results are merged in canonical design order.
+The headline invariant under test: the serial oracle and the lane
+pipeline (:class:`BatchedExperimentRunner` on the scalar ``compiled``
+engine, sharded over worker processes) produce bit-identical
+``Measurements`` regardless of worker count, submission order, or
+completion order, because every noise sample's RNG stream is derived
+purely from (seed, function, configuration, repetition) and results are
+merged in canonical design order.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 
 import pytest
 
+import repro.measure.batched as batched_mod
 import repro.measure.experiment as experiment_mod
 from repro.apps.lulesh import LuleshWorkload
 from repro.apps.synthetic import (
@@ -29,8 +32,8 @@ from repro.errors import DesignError
 from repro.interp.config import DEFAULT_CONFIG
 from repro.libdb import MPI_DATABASE
 from repro.measure import (
+    BatchedExperimentRunner,
     ExperimentRunner,
-    ParallelExperimentRunner,
     RunCache,
     WorkloadSpec,
     config_run_result_from_dict,
@@ -42,7 +45,7 @@ from repro.measure import (
     profile_to_dict,
     spec_of,
 )
-from repro.measure.parallel import _run_task, _ConfigTask
+from repro.measure.batched import _BatchTask, _run_batch_task
 from repro.mpisim.contention import LogQuadraticContention
 from repro.mpisim.network import DEFAULT_NETWORK
 
@@ -87,9 +90,9 @@ class TestSerialParallelIdentity:
         )
         m_serial, p_serial = serial.run(design)
 
-        parallel = ParallelExperimentRunner(
+        parallel = BatchedExperimentRunner(
             workload=workload, plan=plan, repetitions=reps, seed=seed,
-            n_jobs=2,
+            n_jobs=2, engine="compiled",
         )
         m_parallel, p_parallel = parallel.run(design)
 
@@ -120,29 +123,33 @@ class TestSerialParallelIdentity:
             contention=LogQuadraticContention(beta=0.1),
         )
         m1, _ = ExperimentRunner(**kwargs).run(design)
-        m2, _ = ParallelExperimentRunner(**kwargs, n_jobs=2).run(design)
+        m2, _ = BatchedExperimentRunner(
+            **kwargs, n_jobs=2, engine="compiled"
+        ).run(design)
         assert canonical(m1) == canonical(m2)
 
     def test_rejects_nonpositive_jobs(self):
         workload = make_scaling_workload()
         with pytest.raises(ValueError):
-            ParallelExperimentRunner(
+            BatchedExperimentRunner(
                 workload=workload,
                 plan=full_plan(workload.program()),
                 n_jobs=0,
+                engine="compiled",
             )
 
 
 class TestRunCache:
     def _runner(self, cache_dir, n_jobs=1, seed=2):
         workload = make_scaling_workload()
-        return ParallelExperimentRunner(
+        return BatchedExperimentRunner(
             workload=workload,
             plan=full_plan(workload.program()),
             repetitions=3,
             seed=seed,
             n_jobs=n_jobs,
             cache_dir=cache_dir,
+            engine="compiled",
         )
 
     def test_second_run_zero_profile_executions(self, tmp_path, monkeypatch):
@@ -153,13 +160,13 @@ class TestRunCache:
 
         # Count actual profile executions underneath the second run.
         calls = {"n": 0}
-        real = experiment_mod.profile_run
+        real = batched_mod.profile_run
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiment_mod, "profile_run", counting)
+        monkeypatch.setattr(batched_mod, "profile_run", counting)
         second = self._runner(tmp_path / "cache")
         m_second, _ = second.run(design)
         assert calls["n"] == 0
@@ -185,17 +192,17 @@ class TestRunCache:
     def test_differing_plan_misses(self, tmp_path):
         workload = make_scaling_workload()
         design = [{"p": 2.0, "s": 3.0}]
-        a = ParallelExperimentRunner(
+        a = BatchedExperimentRunner(
             workload=workload, plan=full_plan(workload.program()),
-            repetitions=2, cache_dir=tmp_path / "c",
+            repetitions=2, cache_dir=tmp_path / "c", engine="compiled",
         )
         a.run(design)
         narrowed = dataclasses.replace(
             full_plan(workload.program()), functions=frozenset({"kernel"})
         )
-        b = ParallelExperimentRunner(
+        b = BatchedExperimentRunner(
             workload=workload, plan=narrowed,
-            repetitions=2, cache_dir=tmp_path / "c",
+            repetitions=2, cache_dir=tmp_path / "c", engine="compiled",
         )
         b.run(design)
         assert b.last_stats.executed == 1
@@ -261,10 +268,10 @@ class TestWorkloadSpec:
         """The worker entry point runs standalone on a pickled task."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
-        task = _ConfigTask(
-            index=0,
+        task = _BatchTask(
+            indices=(0,),
             spec_blob=pickle.dumps(workload.spec()),
-            config=(("p", 2.0), ("s", 3.0)),
+            configs=((("p", 2.0), ("s", 3.0)),),
             plan=plan,
             noise=ExperimentRunner.__dataclass_fields__[
                 "noise"
@@ -274,9 +281,10 @@ class TestWorkloadSpec:
             ].default_factory(),
             repetitions=2,
             seed=0,
-            key=(2.0, 3.0),
+            keys=((2.0, 3.0),),
+            engine="compiled",
         )
-        index, result = _run_task(pickle.loads(pickle.dumps(task)))
+        [(index, result)] = _run_batch_task(pickle.loads(pickle.dumps(task)))
         assert index == 0
         assert result.key == (2.0, 3.0)
         assert len(result.samples) > 0
@@ -333,3 +341,29 @@ class TestDesignValidation:
 
         with pytest.raises(DesignError, match="'p'"):
             one_at_a_time({"p": [], "size": [1.0]})
+
+    def test_full_factorial_repeated_value_names_parameter_and_value(self):
+        with pytest.raises(DesignError, match=r"'p' repeats the value 2"):
+            full_factorial({"p": [2, 2, 3], "s": [4]})
+
+    @pytest.mark.parametrize(
+        "runner_cls, engine",
+        [
+            (ExperimentRunner, "compiled"),
+            (BatchedExperimentRunner, "compiled"),
+            (BatchedExperimentRunner, "vectorized"),
+        ],
+    )
+    def test_runners_reject_repeated_point(self, runner_cls, engine):
+        """A hand-built design listing one point twice used to store
+        twice the repetitions on some paths and not on others."""
+        workload = make_scaling_workload()
+        runner = runner_cls(
+            workload=workload,
+            plan=full_plan(workload.program()),
+            repetitions=3,
+            engine=engine,
+        )
+        design = [{"p": 2.0, "s": 4.0}, {"p": 3.0, "s": 4.0}, {"p": 2.0, "s": 4.0}]
+        with pytest.raises(DesignError, match=r"repeats.*p=2, s=4"):
+            runner.run(design)

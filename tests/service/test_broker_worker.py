@@ -21,7 +21,7 @@ from repro.apps.synthetic import (
     build_foo_example,
     build_multiplicative_example,
 )
-from repro.errors import LeaseTimeout, ServiceError
+from repro.errors import DesignError, LeaseTimeout, ServiceError
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
@@ -30,6 +30,7 @@ from repro.measure import (
 )
 from repro.measure.batched import BatchedExperimentRunner
 from repro.measure.noise import GaussianNoise
+from repro.measure.parallel import WorkloadSpec
 from repro.mpisim.contention import LogQuadraticContention, NoContention
 from repro.service import (
     Broker,
@@ -388,6 +389,54 @@ class TestBrokerSurface:
         broker.complete(lease2["lease"], worker.execute(lease2))
         measurements, _ = broker.wait(lease2["job"], timeout=5)
         assert measurements.data
+
+    def test_submit_rejects_repeated_point(self):
+        workload = make_workload("foo")
+        broker = Broker()
+        with pytest.raises(DesignError, match=r"repeats.*a=2, b=3"):
+            broker.submit_measure(
+                workload,
+                [{"a": 2.0, "b": 3.0}, {"a": 2.0, "b": 3.0}],
+                full_plan(workload.program()),
+                noise=GaussianNoise(),
+                contention=NoContention(),
+                repetitions=3,
+                seed=0,
+                engine="compiled",
+            )
+        assert broker.queue_depth() == 0
+
+    def test_worker_builds_one_workload_per_spec(self, monkeypatch):
+        """A long-lived worker keeps one workload per distinct spec, not
+        one per job it has served."""
+        builds = []
+        real_build = WorkloadSpec.build
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+        workload = make_workload("foo")
+        plan = full_plan(workload.program())
+        broker = Broker()
+        worker = Worker(LocalBrokerTransport(broker), worker_id="w0")
+        for seed in range(5):
+            job = broker.submit_measure(
+                workload,
+                [{"a": 2.0, "b": 3.0}],
+                plan,
+                noise=GaussianNoise(),
+                contention=NoContention(),
+                repetitions=1,
+                seed=seed,
+                engine="compiled",
+            )
+            lease = broker.claim("w0")
+            broker.complete(lease["lease"], worker.execute(lease))
+            broker.wait(job, timeout=5)
+        assert len(builds) == 1
+        assert len(worker._workloads) == 1
 
     def test_invalid_fault_spec_rejected(self):
         broker = Broker()
